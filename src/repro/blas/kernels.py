@@ -16,7 +16,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import scipy.linalg
 
 
 class _FlopCounter(threading.local):
@@ -133,6 +132,9 @@ def unit_lower_solve_inplace(l: np.ndarray, b: np.ndarray) -> None:
     if m == 0 or b.size == 0:
         return
     FLOPS.add(flops_trsm(m, b.shape[1] if b.ndim == 2 else 1))
+    # Imported here: the simulator loads this module for flop counts only.
+    import scipy.linalg
+
     out = scipy.linalg.solve_triangular(
         l, b, lower=True, unit_diagonal=True, check_finite=False
     )
@@ -147,4 +149,6 @@ def upper_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m == 0:
         return b.copy()
     FLOPS.add(flops_trsm(m, b.shape[1] if b.ndim == 2 else 1))
+    import scipy.linalg
+
     return scipy.linalg.solve_triangular(u, b, lower=False, check_finite=False)

@@ -231,9 +231,13 @@ class Service:
             # transaction, so concurrent submitters (HTTP handler
             # threads, parallel processes) can never queue two active
             # jobs for one content key.
-            added, existing = self.store.add_if_no_active(job)
+            added, existing = self.store.add_if_no_active(
+                job, served=self.cache.__contains__)
             if existing is not None:
                 receipt.deduped.append(existing.id)
+                return receipt
+            if added.cached:  # a twin finished since the check above
+                receipt.cached.append(added.id)
                 return receipt
             receipt.new.append(added.id)
         else:
@@ -332,7 +336,8 @@ class Service:
             else:
                 staged.append((job, False, "new"))
         results = self.store.add_batch(
-            [(job, dedup) for job, dedup, _ in staged])
+            [(job, dedup) for job, dedup, _ in staged],
+            served=self.cache.__contains__)
         receipts: list[SubmitReceipt] = []
         blocked: list[str] = []
         for (job, _dedup, disposition), (added, existing) in zip(
@@ -340,7 +345,7 @@ class Service:
             receipt = SubmitReceipt()
             if existing is not None:
                 receipt.deduped.append(existing.id)
-            elif disposition == "cached":
+            elif disposition == "cached" or added.cached:
                 receipt.cached.append(added.id)
             else:
                 receipt.new.append(added.id)

@@ -1,20 +1,22 @@
 """Remote worker fleet: drain a coordinator's queue over HTTP.
 
 :class:`RemoteWorkerPool` is the networked sibling of
-:class:`~repro.service.workers.WorkerPool`: it runs the same
-:data:`~repro.service.workers.RUNNERS` in local child processes (same
-crash isolation, same per-job timeout), but instead of sharing the
-coordinator's filesystem it *leases* jobs over the v1 HTTP API --
+:class:`~repro.service.workers.WorkerPool`: it hands jobs to the same
+:class:`~repro.service.workers.Executor` of persistent worker processes
+(same crash isolation, same per-job timeout, one simulator import per
+worker), but instead of sharing the coordinator's filesystem it
+*leases* jobs over the v1 HTTP API --
 ``POST /v1/leases`` claims a batch with a TTL,
-``POST /v1/leases/{id}/heartbeat`` keeps it alive while children run,
+``POST /v1/leases/{id}/heartbeat`` keeps it alive while jobs run,
 and ``POST /v1/jobs/{id}/complete|fail`` uploads each outcome.  N hosts
 each running ``repro workers --url http://coordinator:8400`` drain one
 queue and fill one content-addressed result cache, which is how a sweep
 like the paper's Fig. 8 stops being bounded by a single machine.
 
 Failure model: if this process dies (or the network partitions), its
-heartbeats stop, the lease lapses, and the coordinator requeues the
-jobs exactly once -- the mirror of the local pool's orphan recovery.  A
+workers exit, its heartbeats stop, the lease lapses, and the
+coordinator requeues the jobs exactly once -- the mirror of the local
+pool's orphan recovery.  A
 report that loses the race against lease expiry gets a 409
 ``lease_expired`` and the job is counted ``lost`` here, never recorded
 twice there.  Transient HTTP failures are retried with exponential
@@ -23,49 +25,17 @@ backoff before an attempt is given up.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import socket
 import time
-import traceback
 from dataclasses import dataclass, field
 
 from ..errors import LeaseConflictError, ServiceError, UnknownJobError
 from .dag import has_placeholders, needs_parent_results, resolve_payload
 from .http.client import ServiceClient, _Backoff
 from .jobs import Job
-from .workers import WorkerOptions, runner_for
-
-
-def _remote_child_main(job: Job, conn) -> None:
-    """Run one leased job in a child; ship the result through the pipe.
-
-    Unlike the local pool's child, the result dict itself crosses the
-    pipe (there is no shared cache directory to write into); the
-    supervisor uploads it to the coordinator, which owns the cache.
-    """
-    try:
-        result = runner_for(job.kind)(job.payload, job)
-        conn.send(("ok", result))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except BaseException:
-            pass
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Slot:
-    """One in-flight leased job: process, pipe, deadline, owning lease."""
-
-    job: Job
-    process: multiprocessing.Process
-    conn: object
-    deadline: float  # 0 = no timeout
-    lease_id: str
+from .workers import Executor, WorkerOptions
 
 
 @dataclass
@@ -93,7 +63,7 @@ class RemoteWorkerPool:
 
     ``options`` is the same :class:`WorkerOptions` bundle the local pool
     takes; ``options.lease_ttl`` sets the claim TTL (heartbeats fire at
-    half-TTL while any child of that lease is still running).
+    half-TTL while any job of that lease is still running).
     """
 
     def __init__(self, url: str, options: WorkerOptions | None = None,
@@ -101,22 +71,15 @@ class RemoteWorkerPool:
                  client: ServiceClient | None = None) -> None:
         self.options = options or WorkerOptions()
         if self.options.n < 1:
-            raise ServiceError(
-                f"nworkers must be >= 1, got {self.options.n}"
-            )
-        # The client inherits the pool's inline threshold, so a child's
+            raise ServiceError(f"nworkers must be >= 1, got {self.options.n}")
+        # The client inherits the pool's inline threshold, so a worker's
         # oversized result is chunk-streamed to the coordinator without
         # any code here knowing: ``client.complete`` switches paths.
         self.client = client or ServiceClient(
             url, inline_max=self.options.inline_max
         )
         self.worker = worker or default_worker_name()
-        self._slots: list[_Slot] = []
         self._leases: dict[str, float] = {}  # lease id -> expiry time
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
 
     # -- HTTP with retry -------------------------------------------------
 
@@ -140,34 +103,19 @@ class RemoteWorkerPool:
                 time.sleep(delay)
                 delay *= 2
 
-    # -- slot management -------------------------------------------------
+    # -- outcome handling ------------------------------------------------
 
-    def _launch(self, job: Job, lease_id: str) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_remote_child_main,
-            args=(job, child_conn),
-            name=f"{self.worker}-{job.id}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        deadline = time.time() + job.timeout if job.timeout > 0 else 0.0
-        self._slots.append(_Slot(job, proc, parent_conn, deadline,
-                                 lease_id))
-
-    def _report(self, slot: _Slot, summary: FleetSummary,
+    def _report(self, job: Job, lease_id: str, summary: FleetSummary,
                 error: str | None, result: dict | None) -> None:
         try:
             if error is None and result is not None:
                 self._with_retries(
-                    self.client.complete, slot.job.id, slot.lease_id,
-                    result,
+                    self.client.complete, job.id, lease_id, result,
                 )
                 summary.completed += 1
             else:
                 self._with_retries(
-                    self.client.fail, slot.job.id, slot.lease_id,
+                    self.client.fail, job.id, lease_id,
                     error or "worker child died without reporting",
                 )
                 summary.failed += 1
@@ -178,51 +126,8 @@ class RemoteWorkerPool:
             # so the job cannot be recorded twice.
             summary.lost += 1
 
-    def _reap(self, summary: FleetSummary) -> None:
-        now = time.time()
-        live: list[_Slot] = []
-        for slot in self._slots:
-            if slot.process.is_alive():
-                if slot.deadline and now >= slot.deadline:
-                    slot.process.terminate()
-                    slot.process.join(timeout=5.0)
-                    if slot.process.is_alive():  # pragma: no cover
-                        slot.process.kill()
-                        slot.process.join()
-                    slot.conn.close()
-                    self._report(
-                        slot, summary,
-                        f"timeout: exceeded {slot.job.timeout:.3g}s", None,
-                    )
-                else:
-                    live.append(slot)
-                continue
-            slot.process.join()
-            outcome: tuple | None = None
-            if slot.conn.poll():
-                try:
-                    outcome = slot.conn.recv()
-                except (EOFError, OSError):
-                    outcome = None
-            slot.conn.close()
-            if outcome is not None and outcome[0] == "ok":
-                self._report(slot, summary, None, outcome[1])
-            elif outcome is not None:
-                self._report(slot, summary, outcome[1], None)
-            else:
-                self._report(
-                    slot, summary,
-                    "worker child crashed"
-                    f" (exit code {slot.process.exitcode})", None,
-                )
-        self._slots = live
-        self._leases = {
-            lid: exp for lid, exp in self._leases.items()
-            if any(s.lease_id == lid for s in self._slots)
-        }
-
-    def _heartbeat(self) -> None:
-        """Extend every lease that still has children, at half-TTL."""
+    def _heartbeat(self, executor: Executor) -> None:
+        """Extend every lease that still has running jobs, at half-TTL."""
         now = time.time()
         ttl = self.options.lease_ttl
         for lid, expires in list(self._leases.items()):
@@ -237,9 +142,7 @@ class RemoteWorkerPool:
                 # Lease gone: the coordinator requeued our jobs.  Stop
                 # burning cores on work that now belongs to someone else.
                 self._leases.pop(lid, None)
-                for slot in self._slots:
-                    if slot.lease_id == lid and slot.process.is_alive():
-                        slot.process.terminate()
+                executor.terminate(lid)
 
     def _prepare(self, job: Job) -> None:
         """Fetch parent results for reduce / ``$winner`` jobs over HTTP.
@@ -266,8 +169,8 @@ class RemoteWorkerPool:
         if has_placeholders(job.payload):
             job.payload = resolve_payload(job.payload, parent_results)
 
-    def _claim(self, summary: FleetSummary) -> bool:
-        free = self.options.n - len(self._slots)
+    def _claim(self, summary: FleetSummary, executor: Executor) -> bool:
+        free = executor.idle()
         if free < 1:
             return False
         lease, jobs = self._with_retries(
@@ -282,16 +185,10 @@ class RemoteWorkerPool:
             try:
                 self._prepare(job)
             except ServiceError as exc:
-                try:
-                    self._with_retries(
-                        self.client.fail, job.id, lease.id,
-                        f"dag input error: {exc}", attempts=2,
-                    )
-                    summary.failed += 1
-                except (LeaseConflictError, UnknownJobError, ServiceError):
-                    summary.lost += 1
+                self._report(job, lease.id, summary,
+                             f"dag input error: {exc}", None)
                 continue
-            self._launch(job, lease.id)
+            executor.submit(job, lease.id)
         return True
 
     # -- main loop -------------------------------------------------------
@@ -305,7 +202,7 @@ class RemoteWorkerPool:
         up a dead sibling's requeued jobs.  ``options.drain=False``
         polls forever (a resident worker host) until ``max_seconds``
         (or ``options.max_seconds``) elapses or the process is
-        interrupted; children are terminated and their attempts failed
+        interrupted; running jobs are cut short and their attempts failed
         back to the coordinator on the way out, so the jobs requeue
         immediately instead of waiting out the lease.
         """
@@ -320,17 +217,22 @@ class RemoteWorkerPool:
         idle = _Backoff(max(options.poll_interval, 0.01),
                         min(2.0, options.lease_ttl / 4.0), 2.0, 0.1,
                         random.Random())
+        executor = Executor(options.n, None, self.worker)
         try:
             while True:
-                self._reap(summary)
-                self._heartbeat()
+                for job, lease_id, error, result in executor.collect():
+                    self._report(job, lease_id, summary, error, result)
+                running = {w.tag for w in executor.busy}
+                self._leases = {lid: exp for lid, exp in self._leases.items()
+                                if lid in running}
+                self._heartbeat(executor)
                 claimed = False
                 try:
-                    claimed = self._claim(summary)
+                    claimed = self._claim(summary, executor)
                 except (LeaseConflictError, UnknownJobError,
                         ServiceError):
                     pass  # coordinator briefly unreachable; keep polling
-                if options.drain and not self._slots and not claimed:
+                if options.drain and not executor.busy and not claimed:
                     try:
                         outstanding = self.client.queue(limit=0).outstanding
                     except ServiceError:
@@ -340,25 +242,13 @@ class RemoteWorkerPool:
                 if max_seconds is not None \
                         and time.time() - start > max_seconds:
                     break
-                time.sleep(idle.next_delay(progressed=claimed))
+                executor.wait(idle.next_delay(progressed=claimed))
         finally:
-            self._shutdown(summary)
+            for job, lease_id in executor.shutdown():
+                self._report(job, lease_id, summary,
+                             "remote worker pool shut down", None)
         try:
             summary.counts = dict(self.client.queue(limit=0).counts)
         except ServiceError:
             pass  # summary still useful without final queue counts
         return summary
-
-    def _shutdown(self, summary: FleetSummary) -> None:
-        for slot in self._slots:
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(timeout=5.0)
-                if slot.process.is_alive():  # pragma: no cover
-                    slot.process.kill()
-                    slot.process.join()
-            slot.conn.close()
-            self._report(slot, summary, "remote worker pool shut down",
-                         None)
-        self._slots = []
-        self._leases = {}

@@ -198,18 +198,19 @@ class ShardedStore:
         except sqlite3.OperationalError as exc:
             raise self._wrap_unavailable(shard, exc) from None
 
-    def add_if_no_active(self, job: Job) -> tuple[Job | None, Job | None]:
+    def add_if_no_active(self, job: Job, served=None,
+                         ) -> tuple[Job | None, Job | None]:
         """Shard-local dedup: the key's shard runs the usual atomic
         check-then-insert, which is race-free coordinator-wide because
         every submission of this key routes to the same shard."""
         shard = self.shard_for_key(job.key)
         try:
-            return shard.add_if_no_active(job)
+            return shard.add_if_no_active(job, served)
         except sqlite3.OperationalError as exc:
             raise self._wrap_unavailable(shard, exc) from None
 
     def add_batch(
-        self, items: list[tuple[Job, bool]]
+        self, items: list[tuple[Job, bool]], served=None,
     ) -> list[tuple[Job | None, Job | None]]:
         """Batch insert: group by shard, ONE transaction per shard.
 
@@ -241,7 +242,7 @@ class ShardedStore:
             positions = by_shard[idx]
             try:
                 slice_results = shard.add_batch(
-                    [items[pos] for pos in positions]
+                    [items[pos] for pos in positions], served
                 )
             except sqlite3.OperationalError as exc:
                 wedged = self._wrap_unavailable(shard, exc)

@@ -380,7 +380,8 @@ class JobStore:
                     state=job.state.value, cached=job.cached)
         return job
 
-    def add_if_no_active(self, job: Job) -> tuple[Job | None, Job | None]:
+    def add_if_no_active(self, job: Job, served=None,
+                         ) -> tuple[Job | None, Job | None]:
         """Insert ``job`` unless an active job already holds its key.
 
         The existence check and the insert share one ``BEGIN IMMEDIATE``
@@ -388,20 +389,17 @@ class JobStore:
         (threads of an HTTP front-end, or separate processes) can never
         both queue a job for it.  Returns ``(job, None)`` when the job
         was inserted and ``(None, existing)`` when an active
-        (BLOCKED/PENDING/RUNNING) twin was found instead.
+        (BLOCKED/PENDING/RUNNING) twin was found instead.  ``served``
+        re-checks the result cache in the transaction; see
+        :meth:`_active_twin`.
         """
         conn = self._connection()
         conn.execute("BEGIN IMMEDIATE")
         try:
-            row = conn.execute(
-                f"SELECT {_COLS} FROM jobs WHERE key = ?"
-                " AND state IN (?, ?, ?) ORDER BY created LIMIT 1",
-                (job.key, JobState.BLOCKED.value, JobState.PENDING.value,
-                 JobState.RUNNING.value),
-            ).fetchone()
-            if row is not None:
+            existing = self._active_twin(conn, job, served)
+            if existing is not None:
                 conn.execute("COMMIT")
-                return None, Job.from_row(row)
+                return None, existing
             conn.execute(
                 f"INSERT INTO jobs ({_COLS}) VALUES ({_PLACEHOLDERS})",
                 job.to_row(),
@@ -415,8 +413,31 @@ class JobStore:
                     state=job.state.value, cached=job.cached)
         return job, None
 
+    def _active_twin(self, conn, job: Job, served) -> Job | None:
+        """The active job holding ``job.key``, read in the caller's write
+        transaction.
+
+        Without one, ``served(key)`` (when given) asks the result cache
+        again: a twin caches its result before its DONE commit, which
+        this transaction follows, so a result that landed after the
+        submitter's own cache check is seen here and ``job`` is recorded
+        DONE from the cache instead of queued.
+        """
+        row = conn.execute(
+            f"SELECT {_COLS} FROM jobs WHERE key = ?"
+            " AND state IN (?, ?, ?) ORDER BY created LIMIT 1",
+            (job.key, JobState.BLOCKED.value, JobState.PENDING.value,
+             JobState.RUNNING.value),
+        ).fetchone()
+        if row is not None:
+            return Job.from_row(row)
+        if served is not None and served(job.key):
+            job.state, job.result_key, job.cached = \
+                JobState.DONE, job.key, True
+        return None
+
     def add_batch(
-        self, items: list[tuple[Job, bool]]
+        self, items: list[tuple[Job, bool]], served=None,
     ) -> list[tuple[Job | None, Job | None]]:
         """Insert many jobs in ONE transaction, preserving submit order.
 
@@ -439,16 +460,11 @@ class JobStore:
         conn.execute("BEGIN IMMEDIATE")
         try:
             for job, dedup in items:
-                if dedup:
-                    row = conn.execute(
-                        f"SELECT {_COLS} FROM jobs WHERE key = ?"
-                        " AND state IN (?, ?, ?) ORDER BY created LIMIT 1",
-                        (job.key, JobState.BLOCKED.value,
-                         JobState.PENDING.value, JobState.RUNNING.value),
-                    ).fetchone()
-                    if row is not None:
-                        results.append((None, Job.from_row(row)))
-                        continue
+                existing = self._active_twin(conn, job, served) \
+                    if dedup else None
+                if existing is not None:
+                    results.append((None, existing))
+                    continue
                 conn.execute(
                     f"INSERT INTO jobs ({_COLS}) VALUES ({_PLACEHOLDERS})",
                     job.to_row(),

@@ -1,17 +1,23 @@
 """Multiprocess worker pool: drains the queue with crash isolation.
 
 The pool is a supervisor loop that claims ready jobs from the
-:class:`~repro.service.store.JobStore` and executes each one in a
-*fresh child process*.  That buys three properties the service needs:
+:class:`~repro.service.store.JobStore` and hands each to one of ``n``
+*persistent worker processes* (:class:`Executor`): forked once per
+:meth:`WorkerPool.run`, fed one job at a time over a pipe, each paying
+the simulator import once.  The supervisor sleeps on the result pipes
+and process sentinels, so a finished job is reaped at once.  This buys:
 
-* **per-job timeout** -- the supervisor terminates a child that outlives
-  ``job.timeout`` and the attempt counts as a failure;
-* **crash isolation** -- a child that dies (unhandled exception, or even
-  a hard crash) marks only its job FAILED; the supervisor and the other
-  workers keep draining;
+* **per-job timeout** -- the supervisor terminates a worker that
+  outlives ``job.timeout``, the attempt counts as a failure, and a fresh
+  worker takes the slot;
+* **crash isolation** -- a worker that dies (unhandled exception, or
+  even a hard crash) marks only its job FAILED and is replaced; the
+  supervisor and the other workers keep draining;
 * **bounded retry with exponential backoff** -- a failed attempt within
   ``job.max_retries`` goes back to PENDING with
-  ``not_before = now + backoff_base * 2**(attempts-1)``.
+  ``not_before = now + backoff_base * 2**(attempts-1)``;
+* **no orphans** -- a worker exits within 0.1 s of its supervisor dying,
+  and holds none of the supervisor's sockets.
 
 Runners -- the functions that turn a payload dict into a result dict --
 are looked up by job kind in :data:`RUNNERS`.  The built-in kinds map
@@ -26,7 +32,10 @@ suite and as operational smoke tests.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
+import signal
+import stat
 import threading
 import time
 import traceback
@@ -267,48 +276,218 @@ RUNNERS.update({
 
 
 # ---------------------------------------------------------------------------
-# Child process entry point
+# Worker processes
 # ---------------------------------------------------------------------------
 
 
-def _child_main(cache_dir: str, job: Job, conn) -> None:
-    """Run one job in a dedicated process; report through ``conn``.
+def _child_main(cache_dir: str | None, job: Job, conn) -> None:
+    """Run one job in a worker process; report through ``conn``.
 
-    On success the result is written to the cache *from the child* (only
-    the key crosses the pipe) and ``("ok", key)`` is sent.  On a Python
-    exception ``("error", traceback)`` is sent.  A hard crash sends
-    nothing -- the supervisor treats a dead, silent child as a failure.
+    With a ``cache_dir`` (local pools) the result is written to the
+    cache *from the worker* and only the key crosses the pipe:
+    ``("ok", key)``.  Without one (remote pools) the result dict itself
+    crosses, for the supervisor to upload.  A Python exception sends
+    ``("error", traceback)``.  A hard crash sends nothing -- the
+    supervisor treats a dead, silent worker as a failure.
     """
     try:
         result = runner_for(job.kind)(job.payload, job)
-        # The job's stored key, which folds in parent ids for dependent
-        # jobs (and was computed over the placeholder form of the
-        # payload, not the resolved one the runner just saw).
-        key = job.key or payload_key(job.kind, job.payload)
-        ResultCache(cache_dir).put(key, job.kind, job.payload, result)
-        conn.send(("ok", key))
+        if cache_dir is not None:
+            # The job's stored key, which folds in parent ids for
+            # dependent jobs (and was computed over the placeholder form
+            # of the payload, not the resolved one the runner just saw).
+            key = job.key or payload_key(job.kind, job.payload)
+            ResultCache(cache_dir).put(key, job.kind, job.payload, result)
+            result = key
+        conn.send(("ok", result))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
         except BaseException:
             pass
-    finally:
-        conn.close()
+
+
+def _detach(conn, supervisor: int) -> None:
+    """Cut a freshly forked worker loose from its supervisor.
+
+    The fork copied the supervisor's sockets (a server's listening
+    socket and client connections, sibling workers' pipes); all but the
+    worker's own pipe are pointed at ``/dev/null`` so none outlives the
+    supervisor here.  SIGINT is left to the supervisor, SIGTERM takes
+    its default, and a watchdog exits the worker within 0.1 s of the
+    supervisor dying, even mid-job.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in map(int, os.listdir(fd_dir)):
+        try:
+            if fd > 2 and fd not in (null, conn.fileno()) \
+                    and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:
+            pass  # the listing's own, now closed, descriptor
+    os.close(null)
+
+    def watchdog() -> None:
+        while os.getppid() == supervisor:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watchdog, daemon=True).start()
+
+
+def _worker_main(cache_dir: str | None, conn, supervisor: int) -> None:
+    """Run each job ``conn`` delivers, through the module global
+    ``_child_main`` (so a wrapper installed before the fork sees it)."""
+    _detach(conn, supervisor)
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):
+            return
+        _child_main(cache_dir, job, conn)
+
+
+_CTX = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
+@dataclass
+class _Worker:
+    """One persistent worker process and the job it holds, if any."""
+
+    process: multiprocessing.Process
+    conn: object  # duplex pipe: jobs out, outcomes back
+    job: Job | None = None
+    tag: object = None  # the pool's handle on the job (a lease id)
+    deadline: float = 0.0  # 0 = no timeout
+
+
+class Executor:
+    """``n`` persistent worker processes, one job at a time each.
+
+    The hand-off path of both :class:`WorkerPool` and the remote
+    :class:`~repro.service.fleet.RemoteWorkerPool`.  The first
+    :meth:`collect` forks the workers (inheriting runners registered at
+    runtime); they live until :meth:`shutdown`, so the simulator import
+    is paid once per worker, not per job.  A worker that crashes,
+    times out or is :meth:`terminate`-d is reaped and replaced.  With a
+    ``cache_dir`` workers write results there and report keys.
+    """
+
+    def __init__(self, n: int, cache_dir: str | None, name: str) -> None:
+        self.n = n
+        self.cache_dir = cache_dir
+        self.name = name
+        self._workers: list[_Worker] = []
+
+    @property
+    def busy(self) -> list[_Worker]:
+        return [w for w in self._workers if w.job is not None]
+
+    def idle(self) -> int:
+        return len(self._workers) - len(self.busy)
+
+    def submit(self, job: Job, tag=None) -> None:
+        """Hand ``job`` to an idle worker (the caller checked there is one)."""
+        worker = next(w for w in self._workers if w.job is None)
+        worker.job, worker.tag = job, tag
+        worker.deadline = time.time() + job.timeout if job.timeout > 0 else 0.0
+        try:
+            worker.conn.send(job)
+        except OSError:
+            worker.process.kill()  # reaped as a crash by collect()
+
+    def terminate(self, tag) -> None:
+        """Stop the workers running jobs tagged ``tag``; collect() reaps."""
+        for worker in self.busy:
+            if worker.tag == tag:
+                worker.process.terminate()
+
+    def wait(self, timeout: float) -> None:
+        """Sleep up to ``timeout``; wake early on an outcome, a worker
+        death or a job deadline."""
+        deadlines = [w.deadline for w in self.busy if w.deadline]
+        if deadlines:
+            timeout = max(0.0, min(timeout, min(deadlines) - time.time()))
+        multiprocessing.connection.wait(
+            [w.conn for w in self.busy]
+            + [w.process.sentinel for w in self._workers], timeout)
+
+    def collect(self) -> list[tuple]:
+        """Reap finished, crashed and timed-out jobs; top up the workers.
+
+        Returns one ``(job, tag, error, value)`` per finished attempt:
+        ``error`` is None on success, when ``value`` is the result key
+        (or, without a cache, the result itself).
+        """
+        outcomes: list[tuple] = []
+        now = time.time()
+        for worker in list(self._workers):
+            job, error = worker.job, None
+            if job is not None and worker.conn.poll():
+                try:
+                    status, value = worker.conn.recv()
+                except (EOFError, OSError):
+                    pass  # died mid-report: reaped below
+                else:
+                    worker.job = None
+                    outcomes.append((job, worker.tag, None, value)
+                                    if status == "ok"
+                                    else (job, worker.tag, value, None))
+                    continue
+            elif worker.process.is_alive():
+                if not (job and worker.deadline and now >= worker.deadline):
+                    continue
+                error = f"timeout: exceeded {job.timeout:.3g}s"
+            self._stop(worker)
+            if job is not None:
+                outcomes.append((job, worker.tag, error or (
+                    "worker process crashed"
+                    f" (exit code {worker.process.exitcode})"), None))
+        while len(self._workers) < self.n:
+            self._start()
+        return outcomes
+
+    def shutdown(self) -> list[tuple[Job, object]]:
+        """Stop every worker; returns the ``(job, tag)`` pairs cut short."""
+        cut = [(w.job, w.tag) for w in self.busy]
+        for worker in self._workers:
+            if worker.job is None:
+                worker.conn.close()  # an idle worker exits on EOF
+        for worker in list(self._workers):
+            self._stop(worker, grace=2.0 if worker.conn.closed else 0.0)
+        return cut
+
+    def _start(self) -> None:
+        conn, child_conn = _CTX.Pipe()
+        process = _CTX.Process(
+            target=_worker_main,
+            args=(self.cache_dir, child_conn, os.getpid()),
+            name=f"{self.name}-w{len(self._workers)}", daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        self._workers.append(_Worker(process, conn))
+
+    def _stop(self, worker: _Worker, grace: float = 0.0) -> None:
+        """Join ``worker``, terminating it after ``grace`` s; drop it."""
+        worker.process.join(grace)
+        if worker.process.is_alive():
+            worker.process.terminate()
+            worker.process.join(5.0)
+            if worker.process.is_alive():  # pragma: no cover
+                worker.process.kill()
+                worker.process.join()
+        worker.conn.close()
+        self._workers.remove(worker)
 
 
 # ---------------------------------------------------------------------------
 # Supervisor
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Slot:
-    """One in-flight job: its process, result pipe, and deadline."""
-
-    job: Job
-    process: multiprocessing.Process
-    conn: object
-    deadline: float  # 0 = no timeout
 
 
 @dataclass
@@ -363,11 +542,6 @@ class WorkerPool:
         self.poll_interval = poll_interval
         self.backoff_base = backoff_base
         self.name = name
-        self._slots: list[_Slot] = []
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
 
     @classmethod
     def from_options(cls, workdir, options: WorkerOptions,
@@ -381,10 +555,6 @@ class WorkerPool:
         )
 
     # -- outcome handling ------------------------------------------------
-
-    def _finish(self, slot: _Slot, summary: PoolSummary,
-                error: str | None, result_key: str | None) -> None:
-        self._record_outcome(slot.job, summary, error, result_key)
 
     def _record_outcome(self, job: Job, summary: PoolSummary,
                         error: str | None,
@@ -401,46 +571,6 @@ class WorkerPool:
         else:
             self.store.mark_failed(job.id, error)
             summary.failed += 1
-
-    def _reap(self, summary: PoolSummary) -> None:
-        now = time.time()
-        live: list[_Slot] = []
-        for slot in self._slots:
-            if slot.process.is_alive():
-                if slot.deadline and now >= slot.deadline:
-                    slot.process.terminate()
-                    slot.process.join(timeout=5.0)
-                    if slot.process.is_alive():  # pragma: no cover
-                        slot.process.kill()
-                        slot.process.join()
-                    slot.conn.close()
-                    self._finish(
-                        slot, summary,
-                        f"timeout: exceeded {slot.job.timeout:.3g}s", None,
-                    )
-                else:
-                    live.append(slot)
-                continue
-            # Child exited: collect its report (if it managed to send one).
-            slot.process.join()
-            outcome: tuple | None = None
-            if slot.conn.poll():
-                try:
-                    outcome = slot.conn.recv()
-                except (EOFError, OSError):
-                    outcome = None
-            slot.conn.close()
-            if outcome is not None and outcome[0] == "ok":
-                self._finish(slot, summary, None, outcome[1])
-            elif outcome is not None:
-                self._finish(slot, summary, outcome[1], None)
-            else:
-                self._finish(
-                    slot, summary,
-                    "worker child crashed"
-                    f" (exit code {slot.process.exitcode})", None,
-                )
-        self._slots = live
 
     def _prepare(self, job: Job) -> None:
         """Inject parent results for reduce / ``$winner`` jobs.
@@ -470,20 +600,6 @@ class WorkerPool:
         if has_placeholders(job.payload):
             job.payload = resolve_payload(job.payload, parent_results)
 
-    def _launch(self, job: Job) -> None:
-        self.store.log_event(job.id, "launched", worker=job.worker)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_child_main,
-            args=(self.cache.root, job, child_conn),
-            name=f"{self.name}-{job.id}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        deadline = time.time() + job.timeout if job.timeout > 0 else 0.0
-        self._slots.append(_Slot(job, proc, parent_conn, deadline))
-
     # -- main loop -------------------------------------------------------
 
     def run(self, drain: bool = True, max_seconds: float | None = None,
@@ -495,7 +611,7 @@ class WorkerPool:
         including waiting out retry backoffs.  ``drain=False`` runs
         forever (a resident service) until ``max_seconds`` elapses, the
         ``stop`` event is set (how an embedding HTTP server shuts its
-        pool down), or the process is interrupted; in-flight children
+        pool down), or the process is interrupted; in-flight jobs' workers
         are terminated and their jobs requeued/failed on the way out.
 
         ``recover=True`` requeues jobs found already RUNNING at startup:
@@ -514,13 +630,13 @@ class WorkerPool:
                 self.store.requeue(
                     orphan.id, "orphaned by a dead worker pool", 0.0
                 )
+        executor = Executor(self.nworkers, self.cache.root, self.name)
         try:
             while True:
-                self._reap(summary)
-                while len(self._slots) < self.nworkers:
-                    job = self.store.claim(
-                        f"{self.name}/{len(self._slots)}"
-                    )
+                for job, _, error, key in executor.collect():
+                    self._record_outcome(job, summary, error, key)
+                while executor.idle():
+                    job = self.store.claim(f"{self.name}/{len(executor.busy)}")
                     if job is None:
                         break
                     if job.kind not in UNCACHED_KINDS \
@@ -528,7 +644,7 @@ class WorkerPool:
                         # The result landed while the job sat in the
                         # queue (another submitter's twin completed, or
                         # the job predates a cache warm-up): record DONE
-                        # without burning a child process on it.
+                        # without handing it to a worker.
                         self.store.mark_done(job.id, job.key)
                         summary.completed += 1
                         summary.fulfilled_from_cache += 1
@@ -540,28 +656,21 @@ class WorkerPool:
                             job, summary, f"dag input error: {exc}", None
                         )
                         continue
-                    self._launch(job)
-                if drain and not self._slots and not self.store.outstanding():
+                    self.store.log_event(job.id, "launched",
+                                         worker=job.worker)
+                    executor.submit(job)
+                if drain and not executor.busy \
+                        and not self.store.outstanding():
                     break
                 if max_seconds is not None \
                         and time.time() - start > max_seconds:
                     break
                 if stop is not None and stop.is_set():
                     break
-                time.sleep(self.poll_interval)
+                executor.wait(self.poll_interval)
         finally:
-            self._shutdown(summary)
+            for job, _ in executor.shutdown():
+                self._record_outcome(job, summary,
+                                     "worker pool shut down", None)
         summary.counts = self.store.counts()
         return summary
-
-    def _shutdown(self, summary: PoolSummary) -> None:
-        for slot in self._slots:
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(timeout=5.0)
-                if slot.process.is_alive():  # pragma: no cover
-                    slot.process.kill()
-                    slot.process.join()
-            slot.conn.close()
-            self._finish(slot, summary, "worker pool shut down", None)
-        self._slots = []

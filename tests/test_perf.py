@@ -3,6 +3,10 @@ Fig. 5 sweep, and the report formatters."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.config import Schedule
@@ -276,3 +280,16 @@ class TestReport:
         points = weak_scaling([1, 2], n_single=16384)
         assert "nodes" in format_scaling_table(points)
         assert "T=64" in format_fact_table(fact_sweep())
+
+
+def test_simulator_import_leaves_scipy_unloaded():
+    """scipy serves the numeric engine only; every pool worker imports
+    the simulator, so it must not pay for scipy."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, repro.perf.hplsim; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout.strip() == "False"

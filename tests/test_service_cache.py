@@ -173,3 +173,30 @@ class TestSubmitTimeReuse:
         service.run_workers(n=1, max_seconds=60)
         other = service.submit("fact", {**FACT_PAYLOAD, "nb": 48})
         assert other.new and not other.cached
+
+    def test_result_landing_after_the_cache_check_is_not_queued(
+            self, tmp_path, monkeypatch):
+        """A twin that finishes between submit's cache check and its
+        insert (fast workers make this common) serves the resubmission
+        from the cache instead of queueing a duplicate -- for single
+        and batch submits alike."""
+        service = Service(tmp_path / "svc")
+        key = payload_key("fact", FACT_PAYLOAD)
+        service.cache.put(key, "fact", FACT_PAYLOAD, {"score": 1.5})
+        lookup = ResultCache.__contains__
+        calls = []
+
+        def late_result(cache, k):
+            # Each submit's own check misses; the result lands just after.
+            calls.append(k)
+            return len(calls) % 2 == 0 and lookup(cache, k)
+
+        monkeypatch.setattr(ResultCache, "__contains__", late_result)
+        single = service.submit("fact", FACT_PAYLOAD)
+        [batch] = service.submit_many(
+            [{"kind": "fact", "payload": FACT_PAYLOAD}])
+        for receipt in (single, batch):
+            assert receipt.cached and not receipt.new, receipt
+            job = service.job(receipt.cached[0])
+            assert job.state is JobState.DONE and job.cached is True
+        assert service.store.counts()["PENDING"] == 0

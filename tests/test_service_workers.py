@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing.process
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import JobState, Service, WorkerPool
+from repro.service import JobState, Service, WorkerPool, register_runner
+from repro.service.workers import RUNNERS
 
 
 @pytest.fixture
@@ -147,3 +153,46 @@ class TestSupervision:
     def test_pool_requires_at_least_one_worker(self, tmp_path):
         with pytest.raises(ServiceError):
             WorkerPool(tmp_path / "svc", nworkers=0)
+
+
+class TestPersistentWorkers:
+    def test_two_workers_run_every_job(self, service, monkeypatch):
+        """Twenty jobs on two slots: two processes started, two pids."""
+        starts = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counted_start(process):
+            starts.append(process.name)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counted_start)
+        register_runner("pid", lambda payload, job: {"pid": os.getpid()})
+        try:
+            ids = [service.submit("pid", {"i": i}).new[0] for i in range(20)]
+            summary = service.run_workers(n=2, max_seconds=60)
+        finally:
+            RUNNERS.pop("pid", None)
+        assert summary.completed == 20
+        assert len({service.result(jid)["pid"] for jid in ids}) == 2
+        assert len(starts) == 2, starts
+
+    def test_supervisor_never_imports_the_simulator(self, tmp_path):
+        """Only workers pay the simulator import; the pool process that
+        forks them stays as light as ``repro serve --workers 0``."""
+        code = (
+            "import sys\n"
+            "from repro.service import Service\n"
+            "service = Service(sys.argv[1])\n"
+            "service.submit('sim', {'n': 1024, 'nb': 128, 'p': 2, 'q': 2})\n"
+            "assert service.run_workers(n=1, max_seconds=60).completed == 1\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.perf')))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "svc")], env=env,
+            capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
