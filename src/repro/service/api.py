@@ -33,7 +33,8 @@ from .campaign import (CampaignStore, build_campaign_view, build_dag_view,
 from .dag import DagResolver
 from .events import (EventBroker, EventFilter, decode_queue_cursor,
                      encode_queue_cursor)
-from .jobs import UNCACHED_KINDS, Job, JobState, Lease, new_job_id
+from .jobs import (UNCACHED_KINDS, Job, JobState, Lease, new_job_id,
+                   outstanding_in)
 from .shard import (ShardedStore, detect_shard_workdirs,
                     shard_workdirs as _shard_layout)
 from .store import JobStore
@@ -153,8 +154,7 @@ class Service:
         return [{
             "index": 0, "workdir": self.store.workdir, "ok": True,
             "counts": counts,
-            "outstanding": sum(counts[s.value] for s in JobState
-                               if not s.terminal),
+            "outstanding": outstanding_in(counts),
             "leases": len(leases),
         }]
 
@@ -480,15 +480,23 @@ class Service:
         self.store.expire_leases()
         jobs = self.store.list(state=state, kind=kind, limit=limit,
                                offset=offset)
-        total = self.store.count_matching(state=state, kind=kind)
+        # One per-state count serves ``counts``, ``outstanding`` and,
+        # without a kind filter, ``total``.
+        counts = self.store.counts()
+        if kind is not None:
+            total = self.store.count_matching(state=state, kind=kind)
+        elif state is not None:
+            total = counts[state]
+        else:
+            total = sum(counts.values())
         next_cursor = None
         if limit is not None and limit > 0 and offset + limit < total:
             next_cursor = encode_queue_cursor(offset + limit)
         return QueuePage(
             jobs=tuple(JobView.from_job(j) for j in jobs),
-            counts=self.store.counts(),
+            counts=counts,
             total=total,
-            outstanding=self.store.outstanding(),
+            outstanding=outstanding_in(counts),
             limit=limit, offset=offset, state=state, kind=kind,
             workdir=self.workdir, cursor=next_cursor,
         )

@@ -40,6 +40,20 @@ class JobState(str, enum.Enum):
         return not self.terminal
 
 
+def merge_counts(per_shard) -> dict[str, int]:
+    """Sum per-shard ``{state: n}`` depths (every state, zero included)."""
+    out = {s.value: 0 for s in JobState}
+    for counts in per_shard:
+        for state, n in counts.items():
+            out[state] += n
+    return out
+
+
+def outstanding_in(counts: dict[str, int]) -> int:
+    """Non-terminal jobs (BLOCKED and backoff included) in a depth count."""
+    return sum(counts[s.value] for s in JobState if s.active)
+
+
 #: Job kinds that bypass the result cache and active-job dedup: probes
 #: exist to exercise the pool itself (sleep / crash / flaky behaviours),
 #: so two identical probes must both actually run.

@@ -42,6 +42,9 @@ queue, and :func:`shard_index` of anything modulo 1 is 0.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
+import operator
 import os
 import sqlite3
 
@@ -51,8 +54,13 @@ from ..errors import (
     ShardUnavailableError,
     UnknownJobError,
 )
-from .jobs import Job, JobState, Lease, new_lease_id
+from .jobs import (COLUMNS, Job, JobState, Lease, merge_counts,
+                   new_lease_id, outstanding_in)
 from .store import JobStore
+
+#: The single-store ``ORDER BY created, id`` key, on a raw row.
+_ROW_ORDER = operator.itemgetter(COLUMNS.index("created"),
+                                 COLUMNS.index("id"))
 
 
 def shard_index(key: str, nshards: int) -> int:
@@ -474,16 +482,19 @@ class ShardedStore:
         if state is not None and not isinstance(state, JobState):
             state = JobState(state).value  # validate junk exactly once
         per_shard = None if limit is None else offset + max(0, int(limit))
-        rows: list[Job] = []
+        prefixes = []
         for shard in self.shards:
             try:
-                rows.extend(shard.list(state=state, kind=kind,
-                                       limit=per_shard))
+                prefixes.append(shard.list_rows(state=state, kind=kind,
+                                                limit=per_shard))
             except sqlite3.OperationalError:
                 continue  # degraded shard: serve what is reachable
-        rows.sort(key=lambda j: (j.created, j.id))
+        # Merge the raw rows and decode only the window's: the rest of
+        # each shard's prefix is never JSON-parsed.
+        merged = heapq.merge(*prefixes, key=_ROW_ORDER)
         end = None if limit is None else offset + max(0, int(limit))
-        return rows[max(0, int(offset)):end]
+        return [Job.from_row(r)
+                for r in itertools.islice(merged, max(0, int(offset)), end)]
 
     def count_matching(self, state=None, kind=None) -> int:
         total = 0
@@ -513,14 +524,13 @@ class ShardedStore:
         ``tests/test_admission.py`` pins this down under a concurrent
         submit storm.
         """
-        out = {s.value: 0 for s in JobState}
+        per_shard = []
         for shard in self.shards:
             try:
-                for state, n in shard.counts().items():
-                    out[state] += n
+                per_shard.append(shard.counts())
             except sqlite3.OperationalError:
                 continue
-        return out
+        return merge_counts(per_shard)
 
     def active_by_key(self, key: str) -> Job | None:
         try:
@@ -529,8 +539,7 @@ class ShardedStore:
             return None
 
     def outstanding(self) -> int:
-        c = self.counts()
-        return sum(c[s.value] for s in JobState if not s.terminal)
+        return outstanding_in(self.counts())
 
     # -- operations ------------------------------------------------------
 
@@ -554,8 +563,7 @@ class ShardedStore:
                 entry.update(
                     ok=True,
                     counts=counts,
-                    outstanding=sum(counts[s.value] for s in JobState
-                                    if not s.terminal),
+                    outstanding=outstanding_in(counts),
                     leases=len(leases),
                 )
             stats.append(entry)

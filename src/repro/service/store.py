@@ -30,7 +30,7 @@ from ..errors import (
     LeaseExpiredError,
     UnknownJobError,
 )
-from .jobs import COLUMNS, Job, JobState, Lease, new_lease_id
+from .jobs import COLUMNS, Job, JobState, Lease, new_lease_id, outstanding_in
 from .streams import ChunkAssembler
 
 _SCHEMA = f"""
@@ -67,6 +67,7 @@ CREATE TABLE IF NOT EXISTS deps (
 );
 CREATE INDEX IF NOT EXISTS jobs_state ON jobs (state, not_before, created);
 CREATE INDEX IF NOT EXISTS jobs_key ON jobs (key);
+CREATE INDEX IF NOT EXISTS jobs_created ON jobs (created, id);
 CREATE INDEX IF NOT EXISTS deps_parent ON deps (parent);
 """
 
@@ -1096,14 +1097,24 @@ class JobStore:
         ``state`` is validated against :class:`JobState` (raising
         ``ValueError`` on junk, which callers surface as bad input).
         """
+        return [Job.from_row(r)
+                for r in self.list_rows(state, kind, limit, offset)]
+
+    def list_rows(self, state: JobState | str | None = None,
+                  kind: str | None = None, limit: int | None = None,
+                  offset: int = 0) -> list[tuple]:
+        """:meth:`list`'s raw rows (in :data:`COLUMNS` order), undecoded.
+
+        The unfiltered window walks the ``jobs_created`` index, so a
+        page costs O(offset + limit) rows however long the queue is.
+        """
         where, params = self._filters(state, kind)
         sql = f"SELECT {_COLS} FROM jobs{where} ORDER BY created, id"
         if limit is not None or offset:
             sql += " LIMIT ? OFFSET ?"
             params += [-1 if limit is None else max(0, int(limit)),
                        max(0, int(offset))]
-        rows = self._connection().execute(sql, params).fetchall()
-        return [Job.from_row(r) for r in rows]
+        return self._connection().execute(sql, params).fetchall()
 
     def count_matching(self, state: JobState | str | None = None,
                        kind: str | None = None) -> int:
@@ -1134,8 +1145,7 @@ class JobStore:
 
     def outstanding(self) -> int:
         """Number of non-terminal jobs (BLOCKED and backoff included)."""
-        c = self.counts()
-        return sum(c[s.value] for s in JobState if not s.terminal)
+        return outstanding_in(self.counts())
 
     def close(self) -> None:
         """Close the calling thread's connection (others are untouched)."""

@@ -57,7 +57,9 @@ class JobView:
         )
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        # Shallow on purpose: ``dataclasses.asdict`` deep-copies every
+        # payload, which dominated the cost of serving a queue page.
+        out = {name: getattr(self, name) for name in _JOB_VIEW_FIELDS}
         out["depends_on"] = list(self.depends_on)
         return out
 
@@ -88,6 +90,9 @@ class JobView:
             created=self.created, updated=self.updated,
             depends_on=list(self.depends_on),
         )
+
+
+_JOB_VIEW_FIELDS = tuple(f.name for f in dataclasses.fields(JobView))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,6 +20,8 @@ import json
 import os
 import random
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import time
@@ -445,6 +447,134 @@ class TestStreamingWireContract:
         with open(out, "rb") as fh:
             written = json.load(fh)
         assert written == {jid_big: self.BIG, jid_small: self.SMALL}
+
+
+class _RawKeepAlive:
+    """One keep-alive socket with Nagle left on, as most clients have it.
+
+    Each request leaves in one write; each response is parsed off the
+    stream by its ``Content-Length``, noting when its headers were
+    complete and when its last body byte arrived.
+    """
+
+    def __init__(self, url: str) -> None:
+        host, port = url.rsplit("/", 1)[-1].split(":")
+        self.sock = socket.create_connection((host, int(port)), timeout=10)
+        self.buf = b""
+
+    def _fill(self) -> None:
+        chunk = self.sock.recv(65536)
+        assert chunk, "server closed the keep-alive connection"
+        self.buf += chunk
+
+    def request(self, method: str, path: str, body: dict | None = None):
+        data = json.dumps(body).encode() if body is not None else b""
+        self.sock.sendall(
+            f"{method} {path} HTTP/1.1\r\nHost: wire\r\n"
+            f"X-Client-Id: wire\r\nContent-Length: {len(data)}\r\n\r\n"
+            .encode() + data)
+        while b"\r\n\r\n" not in self.buf:
+            self._fill()
+        t_headers = time.perf_counter()
+        head, _, self.buf = self.buf.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        assert status_line.startswith("HTTP/1.1 "), status_line
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            assert name.lower() not in headers, f"repeated header {name}"
+            headers[name.lower()] = value.strip()
+        length = int(headers["content-length"])
+        while len(self.buf) < length:
+            self._fill()
+        body, self.buf = self.buf[:length], self.buf[length:]
+        return (int(status_line.split()[1]), headers, body,
+                time.perf_counter() - t_headers)
+
+
+class TestWireFraming:
+    """Every plain response leaves in one write on a no-delay socket.
+
+    Headers and body written separately stall the body behind Nagle's
+    algorithm until the client's delayed ACK, ~40 ms per keep-alive
+    response; 20 back-to-back requests then take 800 ms or more.
+    """
+
+    def test_back_to_back_keep_alive_responses(self, tmp_path):
+        with ServiceHTTPServer(tmp_path / "svc", workers=0, shards=3,
+                               inline_max=512, rate_limit=0.01,
+                               rate_burst=1) as srv:
+            svc = srv.service
+            jid = svc.submit("probe", {"tag": "big"}).new[0]
+            lease, _ = svc.claim_jobs("w", n=1)
+            svc.complete_job(jid, lease.id, {"blob": "z" * 4000})
+            info = svc.cache.result_info(svc.job(jid).result_key)
+            assert info["size"] > 512  # the result streams as chunks
+            chunk = f"/v1/jobs/{jid}/result/chunks?offset=0&length=256"
+            submit = {"kind": "probe", "payload": {"behavior": "ok"}}
+            calls = [("GET", "/v1/healthz", None),
+                     ("POST", "/v1/jobs", submit)]   # the one token: 200
+            calls += [("GET", "/v1/healthz", None),
+                      ("GET", "/v1/nope", None),
+                      ("POST", "/v1/jobs", submit),  # bucket empty: 429
+                      ("GET", chunk, None)] * 4
+            calls += [("GET", f"/v1/jobs/{jid}", None),
+                      ("GET", "/v1/queue?limit=20", None)]
+            assert len(calls) == 20
+
+            conn = _RawKeepAlive(srv.url)
+            try:
+                t0 = time.perf_counter()
+                replies = [conn.request(*c) for c in calls]
+                elapsed = time.perf_counter() - t0
+                assert conn.buf == b""  # nothing past the last body
+            finally:
+                conn.sock.close()
+
+        gaps = []
+        for (method, path, _), (status, headers, body, gap) in zip(
+                calls, replies):
+            gaps.append(gap)
+            assert int(headers["content-length"]) == len(body)
+            assert headers["server"].startswith("repro-serve/")
+            if path == chunk:
+                assert status == 200
+                assert headers["content-type"] == "application/octet-stream"
+                assert body == svc.read_result_chunk(jid, 0, 256)
+                continue
+            assert headers["content-type"] == "application/json"
+            obj = json.loads(body)
+            if path == "/v1/nope":
+                assert status == 404
+                assert obj["error"]["code"] == "unknown_route"
+                assert "retry-after" not in headers
+            elif method == "POST":
+                if status == 429:
+                    assert obj["error"]["code"] == "rate_limited"
+                    assert headers["retry-after"] == \
+                        str(obj["error"]["retry_after"])
+                else:
+                    assert status == 200 and len(obj["receipt"]["new"]) == 1
+            else:
+                assert status == 200
+        statuses = [r[0] for r in replies]
+        assert statuses.count(429) == 4 and statuses.count(404) == 4
+        assert statuses[1] == 200
+        assert statistics.median(gaps) < 0.020, gaps
+        assert elapsed < 0.400, elapsed
+
+    def test_http09_request_gets_the_bare_body(self, tmp_path):
+        """HTTP/0.9 has no status line or headers: the body, then close."""
+        with ServiceHTTPServer(tmp_path / "svc", workers=0) as srv:
+            sock = socket.create_connection((srv.host, srv.port), timeout=10)
+            try:
+                sock.sendall(b"GET /v1/healthz\r\n\r\n")
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk
+            finally:
+                sock.close()
+        assert json.loads(data)["ok"] is True
 
 
 class TestAsyncClient:

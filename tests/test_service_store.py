@@ -115,3 +115,62 @@ class TestPersistence:
         events = [e["event"] for e in store.events()
                   if e["job"] == "job-0001"]
         assert events == ["submitted", "claimed", "done"]
+
+
+class TestQueryPlans:
+    """The page query walks ``jobs_created``; claims stay on ``jobs_state``.
+
+    The plans come from the statements the store really runs, captured
+    with a trace callback, so a rewritten query is pinned too.  A claim
+    planned on ``jobs_created`` would scan the whole table, DONE rows
+    included, on every claim.
+    """
+
+    @staticmethod
+    def _plans(store, call, marker: str) -> list[str]:
+        conn = store._connection()
+        statements: list[str] = []
+        conn.set_trace_callback(statements.append)
+        try:
+            call()
+        finally:
+            conn.set_trace_callback(None)
+        matching = [q for q in statements if marker in q]
+        assert matching, statements
+        return [" / ".join(row[3] for row in
+                           conn.execute("EXPLAIN QUERY PLAN " + q))
+                for q in matching]
+
+    def _seeded(self, store):
+        for i in range(1, 6):
+            store.add(_job(i))
+        return store
+
+    def test_unfiltered_page_uses_created_index(self, store):
+        self._seeded(store)
+        for plan in self._plans(store, lambda: store.list(limit=2, offset=1),
+                                "ORDER BY created, id"):
+            assert "USING INDEX jobs_created" in plan, plan
+            assert "TEMP B-TREE" not in plan, plan
+
+    def test_claims_search_state_index(self, store):
+        self._seeded(store)
+        marker = "not_before <="
+        plans = (self._plans(store, lambda: store.claim("w0"), marker)
+                 + self._plans(store,
+                               lambda: store.claim_batch("w1", limit=2),
+                               marker))
+        assert len(plans) == 2
+        for plan in plans:
+            assert "SEARCH jobs USING INDEX jobs_state" in plan, plan
+
+    def test_older_workdir_gains_the_index_on_open(self, store, tmp_path):
+        store.add(_job(1))
+        conn = store._connection()
+        conn.execute("DROP INDEX jobs_created")  # as an older service left it
+        store.close()
+        reopened = JobStore(tmp_path / "svc")
+        names = {row[0] for row in reopened._connection().execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'")}
+        assert "jobs_created" in names
+        assert [j.id for j in reopened.list(limit=1)] == ["job-0001"]
